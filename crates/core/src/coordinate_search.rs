@@ -7,6 +7,15 @@
 //! coordinate move scans a grid of candidate values inside the
 //! linearized-feasible interval and keeps the best; sweeps repeat until no
 //! coordinate improves the estimate.
+//!
+//! A scan counts all grid values in one pass over the samples
+//! ([`crate::ShiftTracker::grid_counts`]): along one coordinate every
+//! linearized margin is affine in the value (Eq. 20), so on the ascending
+//! grid each sample passes on one contiguous run of grid indices, found by
+//! binary search per model and intersected across models. The counts are
+//! exactly those of one [`crate::ShiftTracker::estimate_coord`] per value,
+//! so the accept rule below sees the same numbers and the search takes the
+//! same steps.
 
 use specwise_linalg::DVec;
 use specwise_stat::YieldEstimate;
@@ -92,11 +101,14 @@ impl CoordinateSearch {
                 if hi - lo <= 0.0 {
                     continue;
                 }
+                let values: Vec<f64> = (0..self.options.grid_points)
+                    .map(|g| lo + (hi - lo) * g as f64 / (self.options.grid_points - 1) as f64)
+                    .collect();
+                let counts = tracker.grid_counts(k, &values);
                 let mut best_val = d_now[k];
                 let mut best_here = best;
-                for g in 0..self.options.grid_points {
-                    let v = lo + (hi - lo) * g as f64 / (self.options.grid_points - 1) as f64;
-                    let est = tracker.estimate_coord(k, v);
+                for (&v, &passed) in values.iter().zip(&counts) {
+                    let est = YieldEstimate::from_counts(passed, model.n_samples());
                     // Accept strictly better pass counts; on ties prefer the
                     // smaller move (stay near the anchor where the linear
                     // model is trustworthy).
@@ -127,6 +139,7 @@ impl CoordinateSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use specwise_ckt::OperatingPoint;
     use specwise_linalg::DMat;
     use specwise_wcd::SpecLinearization;
@@ -235,6 +248,210 @@ mod tests {
             .unwrap();
         assert_eq!(d[0], 0.0);
         assert_eq!(y.passed(), 0);
+    }
+
+    /// The per-value search the interval scan replaced: one
+    /// [`ShiftTracker::estimate_coord`] per grid value. Along the way it
+    /// checks that [`ShiftTracker::grid_counts`] agrees with that loop at
+    /// every coordinate the search visits.
+    fn reference_run(
+        options: CoordinateSearchOptions,
+        model: &LinearizedYield,
+        constraints: &LinearConstraints,
+        d_start: &DVec,
+    ) -> Result<(DVec, YieldEstimate), TestCaseError> {
+        let mut tracker = model.tracker(d_start).unwrap();
+        let mut best = tracker.estimate();
+        for _sweep in 0..options.max_sweeps {
+            let mut improved = false;
+            for k in 0..d_start.len() {
+                let d_now = tracker.design().clone();
+                let Some((mut lo, mut hi)) = constraints.coord_interval(&d_now, k) else {
+                    continue;
+                };
+                if let Some(factor) = options.trust_factor {
+                    if d_start[k] > 0.0 {
+                        lo = lo.max(d_start[k] / factor);
+                        hi = hi.min(d_start[k] * factor);
+                    }
+                }
+                if hi - lo <= 0.0 {
+                    continue;
+                }
+                let values: Vec<f64> = (0..options.grid_points)
+                    .map(|g| lo + (hi - lo) * g as f64 / (options.grid_points - 1) as f64)
+                    .collect();
+                let per_value: Vec<usize> = values
+                    .iter()
+                    .map(|&v| tracker.estimate_coord(k, v).passed())
+                    .collect();
+                prop_assert_eq!(tracker.grid_counts(k, &values), per_value.clone());
+                let mut best_val = d_now[k];
+                let mut best_here = best;
+                for &v in &values {
+                    let est = tracker.estimate_coord(k, v);
+                    let gain = est.passed() as isize - best_here.passed() as isize;
+                    if gain >= options.min_gain as isize
+                        || (gain >= 0 && (v - d_now[k]).abs() < (best_val - d_now[k]).abs() - 1e-15)
+                    {
+                        best_here = est;
+                        best_val = v;
+                    }
+                }
+                if best_val != d_now[k] {
+                    tracker.set_coord(k, best_val);
+                    if best_here.passed() > best.passed() {
+                        improved = true;
+                    }
+                    best = best_here;
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+        Ok((tracker.design().clone(), best))
+    }
+
+    /// A seeded random problem: 1–4 specs over 3 statistical dimensions,
+    /// some with a mirrored twin; design-gradient entries drawn from
+    /// {0, −0, negative, positive}; with `poison`, one entry non-finite.
+    fn random_problem(
+        seed: u64,
+        n_d: usize,
+        poison: bool,
+    ) -> (LinearizedYield, LinearConstraints, DVec) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let n_s = 3;
+        let n_specs = rng.gen_range(1..5usize);
+        let d_f = DVec::from_fn(n_d, |_| rng.gen_range(0.5..2.0));
+        let mut models = Vec::new();
+        for spec in 0..n_specs {
+            let grad_s = DVec::from_fn(n_s, |_| rng.gen_range(-1.0..1.0));
+            let grad_d = DVec::from_fn(n_d, |_| match rng.gen_range(0..4u32) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => -rng.gen_range(0.1..3.0),
+                _ => rng.gen_range(0.1..3.0),
+            });
+            let m = SpecLinearization {
+                spec,
+                mirrored: false,
+                theta_wc: OperatingPoint::new(25.0, 3.3),
+                s_wc: DVec::from_fn(n_s, |_| rng.gen_range(-1.5..1.5)),
+                d_f: d_f.clone(),
+                margin_at_anchor: rng.gen_range(-1.0..1.0),
+                grad_s,
+                grad_d,
+            };
+            if rng.gen_bool(0.4) {
+                models.push(m.to_mirrored());
+            }
+            models.push(m);
+        }
+        if poison {
+            let mi = rng.gen_range(0..models.len());
+            let k = rng.gen_range(0..n_d);
+            models[mi].grad_d[k] =
+                [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][rng.gen_range(0..3usize)];
+        }
+        let model = LinearizedYield::new(models, n_specs, 300, seed).unwrap();
+        // Start off the anchor so the starting shifts are non-zero.
+        let d_start = DVec::from_fn(n_d, |k| d_f[k] * rng.gen_range(0.8..1.25));
+        let n_c = rng.gen_range(0..3usize);
+        let constraints = LinearConstraints::new(
+            DVec::from_fn(n_c, |_| rng.gen_range(0.0..1.0)),
+            DMat::from_fn(n_c, n_d, |_, _| rng.gen_range(-1.0..1.0)),
+            d_start.clone(),
+            DVec::filled(n_d, 0.1),
+            DVec::filled(n_d, 4.0),
+        )
+        .unwrap();
+        (model, constraints, d_start)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn interval_scan_matches_per_value_search(
+            seed in 0u64..1_000_000,
+            n_d in 1usize..4,
+            grid_points in 2usize..40,
+            trust in 0u32..3,
+            poison in 0u32..4,
+        ) {
+            let (model, constraints, d_start) = random_problem(seed, n_d, poison == 0);
+            let options = CoordinateSearchOptions {
+                grid_points,
+                trust_factor: [None, Some(1.5), Some(3.0)][trust as usize],
+                ..CoordinateSearchOptions::default()
+            };
+            let (d_ref, y_ref) = reference_run(options, &model, &constraints, &d_start)?;
+            let (d, y) = CoordinateSearch::new(options)
+                .run(&model, &constraints, &d_start)
+                .unwrap();
+            let bits = |v: &DVec| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&d), bits(&d_ref));
+            prop_assert_eq!(y, y_ref);
+
+            // Descending and unsorted value lists take the other branch and
+            // the direct fallback; the counts still match value by value.
+            let tracker = model.tracker(&d_start).unwrap();
+            let ascending: Vec<f64> = (0..grid_points)
+                .map(|g| 0.1 + 3.9 * g as f64 / (grid_points - 1) as f64)
+                .collect();
+            let descending: Vec<f64> = ascending.iter().rev().copied().collect();
+            let unsorted: Vec<f64> = (0..grid_points)
+                .map(|g| ascending[(g * 7 + 3) % grid_points])
+                .collect();
+            for values in [&ascending, &descending, &unsorted] {
+                for k in 0..n_d {
+                    let per_value: Vec<usize> = values
+                        .iter()
+                        .map(|&v| tracker.estimate_coord(k, v).passed())
+                        .collect();
+                    prop_assert_eq!(tracker.grid_counts(k, values), per_value);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_shift_tables_fall_back_to_direct_tests() {
+        // Sample-independent margins (zero statistical gradient), so every
+        // sample passes or fails together: counts are 0 or N.
+        let n = 200;
+        let poisoned = lin(0, 1.0, &[0.0], &[1.0, -f64::INFINITY]);
+        let ly = LinearizedYield::new(vec![poisoned, lin(1, 5.0, &[0.0], &[0.5, 0.5])], 2, n, 3)
+            .unwrap();
+        // d₁ − d_f₁ = 1 puts the poisoned model's shift at −∞.
+        let tracker = ly.tracker(&DVec::from_slice(&[0.0, 1.0])).unwrap();
+        let check = |k: usize, values: &[f64], want: &[usize]| {
+            let per_value: Vec<usize> = values
+                .iter()
+                .map(|&v| tracker.estimate_coord(k, v).passed())
+                .collect();
+            assert_eq!(per_value, want, "oracle, coordinate {k}");
+            assert_eq!(tracker.grid_counts(k, values), want, "scan, coordinate {k}");
+        };
+        // Along d₀ the table is −∞ throughout: every value fails.
+        check(0, &[-1.0, 0.0, 1.0], &[0, 0, 0]);
+        // Along d₁ it is [−∞ + ∞, −∞ + NaN, −∞ − ∞] = [NaN, NaN, −∞]: the
+        // NaN entries pass (NaN < 0 is false) and the last one fails.
+        check(1, &[0.0, 1.0, 2.0], &[n, n, 0]);
+        // An unsorted finite grid gives a non-interval pass set: margin
+        // −1 + v passes at v ≥ 1 only.
+        let ly = LinearizedYield::new(vec![lin(0, -1.0, &[0.0], &[1.0])], 1, n, 3).unwrap();
+        let tracker = ly.tracker(&DVec::zeros(1)).unwrap();
+        let values = [2.0, 0.0, 1.0, -3.0, 5.0];
+        let per_value: Vec<usize> = values
+            .iter()
+            .map(|&v| tracker.estimate_coord(0, v).passed())
+            .collect();
+        assert_eq!(per_value, [n, 0, n, 0, n]);
+        assert_eq!(tracker.grid_counts(0, &values), per_value);
     }
 
     #[test]

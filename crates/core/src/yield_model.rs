@@ -3,13 +3,21 @@
 //!
 //! A fixed set of `N` standardized samples is drawn once; for each sample
 //! and each linear model the *sample part* (everything except the design
-//! shift) is precomputed. During the coordinate search only the scalar
-//! design shift of each model changes, and for a single-coordinate move
-//! only one product is recomputed (Eq. 20).
+//! shift) is precomputed. The parts are stored once, sample-major: row `j`
+//! holds sample `j`'s parts of all `m` models contiguously, so every
+//! pass/fail count walks memory in order. During the coordinate search only
+//! the scalar design shift of each model changes, and for a
+//! single-coordinate move only one product is recomputed (Eq. 20).
+//!
+//! Along one coordinate `k` each model's shift is affine in the value `v`,
+//! so over an ascending grid of values a sample's test `part + shift < 0`
+//! flips at most once per model: the grid points where a sample passes form
+//! one index interval. [`ShiftTracker::grid_counts`] uses this to count a
+//! whole coordinate scan in one pass over the samples.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use specwise_linalg::{DMat, DVec};
+use specwise_linalg::DVec;
 use specwise_stat::{StandardNormal, YieldEstimate};
 use specwise_wcd::SpecLinearization;
 
@@ -46,8 +54,9 @@ use crate::SpecwiseError;
 #[derive(Debug, Clone)]
 pub struct LinearizedYield {
     models: Vec<SpecLinearization>,
-    /// `parts[(m, j)]`: sample part of model `m` at sample `j`.
-    parts: DMat,
+    /// Sample-major parts: `parts[j * models.len() + m]` is the sample part
+    /// of model `m` at sample `j`.
+    parts: Vec<f64>,
     n_samples: usize,
     n_specs: usize,
     d_f: DVec,
@@ -99,12 +108,13 @@ impl LinearizedYield {
 
         let mut rng = StdRng::seed_from_u64(seed);
         let normal = StandardNormal::new();
-        let mut parts = DMat::zeros(models.len(), n_samples);
-        let mut sample = DVec::zeros(n_s);
-        for j in 0..n_samples {
-            normal.fill(&mut rng, sample.as_mut_slice());
-            for (mi, m) in models.iter().enumerate() {
-                parts[(mi, j)] = m.sample_part(&sample);
+        let mut parts = vec![0.0; models.len() * n_samples];
+        let mut sample = vec![0.0; n_s];
+        let mut scratch = vec![0.0; n_s];
+        for row in parts.chunks_exact_mut(models.len()) {
+            normal.fill(&mut rng, &mut sample);
+            for (part, m) in row.iter_mut().zip(&models) {
+                *part = m.sample_part_with(&sample, &mut scratch);
             }
         }
         Ok(LinearizedYield {
@@ -135,11 +145,14 @@ impl LinearizedYield {
         let n_s = base.models[0].s_wc.len();
         let mut rng = StdRng::seed_from_u64(seed);
         let flat = specwise_stat::latin_hypercube_normal(&mut rng, n_samples, n_s);
-        let mut parts = DMat::zeros(base.models.len(), n_samples);
-        for j in 0..n_samples {
-            let sample = DVec::from_slice(&flat[j * n_s..(j + 1) * n_s]);
-            for (mi, m) in base.models.iter().enumerate() {
-                parts[(mi, j)] = m.sample_part(&sample);
+        let mut parts = vec![0.0; base.models.len() * n_samples];
+        let mut scratch = vec![0.0; n_s];
+        for (row, sample) in parts
+            .chunks_exact_mut(base.models.len())
+            .zip(flat.chunks_exact(n_s))
+        {
+            for (part, m) in row.iter_mut().zip(&base.models) {
+                *part = m.sample_part_with(sample, &mut scratch);
             }
         }
         base.parts = parts;
@@ -194,21 +207,15 @@ impl LinearizedYield {
         YieldEstimate::from_counts(self.count_passing(shifts), self.n_samples)
     }
 
+    /// Sample-major rows of parts, one row of all models per sample.
+    fn rows(&self) -> std::slice::ChunksExact<'_, f64> {
+        self.parts.chunks_exact(self.models.len())
+    }
+
     pub(crate) fn count_passing(&self, shifts: &DVec) -> usize {
-        let mut pass = 0usize;
-        for j in 0..self.n_samples {
-            let mut ok = true;
-            for mi in 0..self.models.len() {
-                if self.parts[(mi, j)] + shifts[mi] < 0.0 {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok {
-                pass += 1;
-            }
-        }
-        pass
+        self.rows()
+            .filter(|row| row.iter().zip(shifts.iter()).all(|(p, s)| !(p + s < 0.0)))
+            .count()
     }
 
     /// Per-spec failing ("bad") sample counts at `d` — a sample is bad for
@@ -222,17 +229,16 @@ impl LinearizedYield {
     pub fn bad_samples_per_spec(&self, d: &DVec) -> Result<Vec<usize>, SpecwiseError> {
         let shifts = self.shifts(d)?;
         let mut bad = vec![0usize; self.n_specs];
-        for j in 0..self.n_samples {
-            for (i, count) in bad.iter_mut().enumerate() {
-                let fails = self
-                    .models
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, m)| m.spec == i)
-                    .any(|(mi, _)| self.parts[(mi, j)] + shifts[mi] < 0.0);
-                if fails {
-                    *count += 1;
+        let mut fails = vec![false; self.n_specs];
+        for row in self.rows() {
+            fails.fill(false);
+            for ((p, s), m) in row.iter().zip(shifts.iter()).zip(&self.models) {
+                if p + s < 0.0 {
+                    fails[m.spec] = true;
                 }
+            }
+            for (count, &f) in bad.iter_mut().zip(&fails) {
+                *count += usize::from(f);
             }
         }
         Ok(bad)
@@ -295,6 +301,94 @@ impl ShiftTracker<'_> {
             shifts[mi] += m.grad_d[k] * (value - self.d[k]);
         }
         self.model.estimate_with_shifts(&shifts)
+    }
+
+    /// Pass counts if coordinate `k` were moved to each of `values` (does
+    /// not commit a move): `counts[g]` equals
+    /// `self.estimate_coord(k, values[g]).passed()` exactly.
+    ///
+    /// Each model's shift at every value is computed with the same float
+    /// expression as [`ShiftTracker::estimate_coord`]. When that shift
+    /// table is finite and monotone — the case for an ascending grid and a
+    /// finite gradient — the values where a sample passes the model form one
+    /// contiguous index range, found by binary search. A sample's ranges are
+    /// intersected model by model (stopping once empty) and accumulated in a
+    /// difference array, so a scan costs at most about `N·m·log₂(values)`
+    /// tests instead of `N·m·values`. A model whose table is not monotone (a
+    /// non-finite gradient or shift, or an unsorted `values`) is tested
+    /// directly at every value left in the sample's range.
+    pub fn grid_counts(&self, k: usize, values: &[f64]) -> Vec<usize> {
+        let n_g = values.len();
+        if n_g == 0 {
+            return Vec::new();
+        }
+        let mut tables = Vec::with_capacity(self.model.models.len() * n_g);
+        // Per model: `Some(true)` pass range is a suffix (table ascending),
+        // `Some(false)` a prefix (descending), `None` test every value.
+        let mut order = Vec::with_capacity(self.model.models.len());
+        for (mi, m) in self.model.models.iter().enumerate() {
+            let start = tables.len();
+            tables.extend(
+                values
+                    .iter()
+                    .map(|&v| self.shifts[mi] + m.grad_d[k] * (v - self.d[k])),
+            );
+            let t = &tables[start..];
+            order.push(if t.iter().any(|x| !x.is_finite()) {
+                None
+            } else if t.windows(2).all(|w| w[0] <= w[1]) {
+                Some(true)
+            } else if t.windows(2).all(|w| w[0] >= w[1]) {
+                Some(false)
+            } else {
+                None
+            });
+        }
+        let direct: Vec<usize> = (0..order.len()).filter(|&mi| order[mi].is_none()).collect();
+        let mut diff = vec![0isize; n_g + 1];
+        for row in self.model.rows() {
+            let (mut lo, mut hi) = (0, n_g);
+            for ((&p, t), ascending) in row.iter().zip(tables.chunks_exact(n_g)).zip(&order) {
+                // Most samples pass a model over the whole remaining range,
+                // so test the range's weakest end before searching.
+                match ascending {
+                    Some(true) if p + t[lo] < 0.0 => {
+                        lo += 1 + t[lo + 1..hi].partition_point(|&x| p + x < 0.0);
+                    }
+                    Some(false) if p + t[hi - 1] < 0.0 => {
+                        hi = lo + t[lo..hi - 1].partition_point(|&x| !(p + x < 0.0));
+                    }
+                    _ => continue,
+                }
+                if lo >= hi {
+                    break;
+                }
+            }
+            if direct.is_empty() {
+                if lo < hi {
+                    diff[lo] += 1;
+                    diff[hi] -= 1;
+                }
+                continue;
+            }
+            for g in lo..hi {
+                if direct
+                    .iter()
+                    .all(|&mi| !(row[mi] + tables[mi * n_g + g] < 0.0))
+                {
+                    diff[g] += 1;
+                    diff[g + 1] -= 1;
+                }
+            }
+        }
+        let mut running = 0isize;
+        diff[..n_g]
+            .iter()
+            .map(|&d| {
+                running += d;
+                running as usize
+            })
+            .collect()
     }
 
     /// Commits a coordinate move.

@@ -51,7 +51,29 @@ impl SpecLinearization {
     /// `∇_d·(d − d_f)` term (paper Eq. 20's stored per-sample value). The
     /// full model is `sample_part(ŝ) + design_shift(d)`.
     pub fn sample_part(&self, s_hat: &DVec) -> f64 {
-        self.margin_at_anchor + self.grad_s.dot(&(s_hat - &self.s_wc))
+        self.sample_part_with(s_hat.as_slice(), &mut vec![0.0; self.s_wc.len()])
+    }
+
+    /// [`SpecLinearization::sample_part`] computed through the caller's
+    /// `scratch` buffer (overwritten with `ŝ − ŝ_wc`) instead of a fresh
+    /// vector, so a model build over many samples does not allocate. Same
+    /// operations in the same order, so the result is bit-identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `s_hat` or `scratch` differs in length from `ŝ_wc`.
+    pub fn sample_part_with(&self, s_hat: &[f64], scratch: &mut [f64]) -> f64 {
+        assert_eq!(s_hat.len(), self.s_wc.len(), "sample_part: length mismatch");
+        assert_eq!(
+            scratch.len(),
+            self.s_wc.len(),
+            "sample_part: scratch length"
+        );
+        for ((x, s), w) in scratch.iter_mut().zip(s_hat).zip(self.s_wc.iter()) {
+            *x = s - w;
+        }
+        let dot: f64 = self.grad_s.iter().zip(&*scratch).map(|(a, b)| a * b).sum();
+        self.margin_at_anchor + dot
     }
 
     /// The design-dependent shift `∇_d·(d − d_f)` (paper's `Δf̄`).
