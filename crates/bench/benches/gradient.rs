@@ -1,19 +1,12 @@
-//! Gradient-backend benchmarks (ISSUE 7): adjoint sensitivities on cached
-//! LU factors vs finite differences, and the sample-major batched Newton
-//! path vs the per-sample scalar loop.
+//! Gradient-backend benchmark: adjoint sensitivities on cached
+//! LU factors vs finite differences.
 //!
-//! Groups:
-//!
-//! * `linearize_folded_cascode` — one full spec-wise linearization
-//!   (`∂m/∂s` + `∂m/∂d` at the initial design, nominal θ, flow-default
-//!   steps) per iteration:
+//! Group `linearize_folded_cascode` — one full spec-wise linearization
+//! (`∂m/∂s` + `∂m/∂d` at the initial design, nominal θ, flow-default
+//! steps) per iteration:
 //!   - `fd`      — every perturbation direction fully re-simulated,
 //!   - `adjoint` — directions priced on the cached factorizations of the
 //!     converged base point.
-//! * `mc_batched_{folded_cascode,miller}` — a Monte-Carlo margin stream
-//!   (24 mismatch samples, fixed design, nominal θ):
-//!   - `scalar`  — the per-sample loop,
-//!   - `batched` — the lockstep sample-major path (`SPECWISE_BATCH=64`).
 //!
 //! Quick mode: set `SPECWISE_BENCH_QUICK=1` to shrink the workloads (used
 //! by the CI smoke job). Gate mode: set `SPECWISE_BENCH_GATE=1` to assert
@@ -25,32 +18,12 @@
 use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use specwise_ckt::{CircuitEnv, FoldedCascode, MillerOpamp, OperatingPoint};
+use specwise_ckt::{CircuitEnv, FoldedCascode, OperatingPoint};
 use specwise_linalg::{DMat, DVec};
 use specwise_wcd::{margins_gradient_d_with, margins_gradient_s_with, GradBackend};
 
 fn quick() -> bool {
     std::env::var("SPECWISE_BENCH_QUICK").is_ok()
-}
-
-/// Deterministic stream of standardized mismatch samples `ŝ ~ N(0, I)`.
-fn sample_stream(dim: usize, count: usize) -> Vec<DVec> {
-    let mut rng = StdRng::seed_from_u64(20010618);
-    (0..count)
-        .map(|_| {
-            DVec::from(
-                (0..dim)
-                    .map(|_| {
-                        let u1: f64 = rng.gen::<f64>().max(1e-12);
-                        let u2: f64 = rng.gen();
-                        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-                    })
-                    .collect::<Vec<_>>(),
-            )
-        })
-        .collect()
 }
 
 /// One full spec-wise linearization at `(d, ŝ=0, θ_nom)` with the chosen
@@ -153,106 +126,5 @@ fn bench_linearize(c: &mut Criterion) {
     }
 }
 
-/// Primes the warm cache the way Monte-Carlo verification encounters it in
-/// the flow: the optimizer has just evaluated the design at the nominal
-/// point, so every sample's Newton solves seed from that committed
-/// operating point. Cleared + re-primed inside each timed iteration so
-/// exact-hit replay between iterations never flatters the numbers.
-fn prime<E: CircuitEnv>(env: &E, clear: fn(&E), d: &DVec, theta: &OperatingPoint) {
-    clear(env);
-    env.eval_margins(d, &DVec::zeros(env.stat_dim()), theta)
-        .unwrap();
-    env.warm_commit();
-}
-
-/// One MC margin pass over the stream; checksum prevents dead-code elision.
-fn mc_scalar<E: CircuitEnv>(env: &E, d: &DVec, points: &[(DVec, OperatingPoint)]) -> f64 {
-    points
-        .iter()
-        .map(|(s, theta)| env.eval_margins(d, s, theta).unwrap().iter().sum::<f64>())
-        .sum()
-}
-
-fn mc_batched<E: CircuitEnv>(env: &E, d: &DVec, points: &[(DVec, OperatingPoint)]) -> f64 {
-    env.eval_margins_samples(d, points)
-        .expect("batched path engages")
-        .into_iter()
-        .map(|r| r.unwrap().iter().sum::<f64>())
-        .sum()
-}
-
-fn bench_mc<E: CircuitEnv>(c: &mut Criterion, name: &str, make: fn(bool) -> E, clear: fn(&E)) {
-    let n_samples = if quick() { 4 } else { 24 };
-    let env = make(true);
-    let d0 = env.design_space().initial();
-    let theta = env.operating_range().nominal();
-    let points: Vec<(DVec, OperatingPoint)> = sample_stream(env.stat_dim(), n_samples)
-        .into_iter()
-        .map(|s| (s, theta))
-        .collect();
-
-    // Parity guard: the batched path must reproduce the scalar loop
-    // bit-for-bit (the lockstep_batch acceptance test pins this broadly;
-    // here it protects the timing comparison).
-    std::env::set_var("SPECWISE_BATCH", "64");
-    let batched = env.eval_margins_samples(&d0, &points).unwrap();
-    for ((s, th), b) in points.iter().zip(&batched) {
-        let scalar = env.eval_margins(&d0, s, th).unwrap();
-        let b = b.as_ref().unwrap();
-        for i in 0..scalar.len() {
-            assert_eq!(
-                scalar[i].to_bits(),
-                b[i].to_bits(),
-                "{name}: batched margin {i} differs from scalar"
-            );
-        }
-    }
-
-    let mut group = c.benchmark_group(format!("mc_batched_{name}"));
-    if quick() {
-        group
-            .sample_size(3)
-            .measurement_time(Duration::from_millis(200));
-    } else {
-        group
-            .sample_size(10)
-            .measurement_time(Duration::from_secs(4));
-    }
-    group.bench_function("scalar", |b| {
-        std::env::set_var("SPECWISE_BATCH", "1");
-        b.iter(|| {
-            prime(&env, clear, &d0, &theta);
-            mc_scalar(&env, &d0, &points)
-        });
-    });
-    group.bench_function("batched", |b| {
-        std::env::set_var("SPECWISE_BATCH", "64");
-        b.iter(|| {
-            prime(&env, clear, &d0, &theta);
-            mc_batched(&env, &d0, &points)
-        });
-    });
-    group.finish();
-    std::env::remove_var("SPECWISE_BATCH");
-}
-
-fn bench_mc_folded(c: &mut Criterion) {
-    bench_mc(
-        c,
-        "folded_cascode",
-        |warm| FoldedCascode::paper_setup().with_warm_start(warm),
-        |e| e.warm_cache().clear(),
-    );
-}
-
-fn bench_mc_miller(c: &mut Criterion) {
-    bench_mc(
-        c,
-        "miller",
-        |warm| MillerOpamp::paper_setup().with_warm_start(warm),
-        |e| e.warm_cache().clear(),
-    );
-}
-
-criterion_group!(benches, bench_linearize, bench_mc_folded, bench_mc_miller);
+criterion_group!(benches, bench_linearize);
 criterion_main!(benches);

@@ -171,8 +171,9 @@ fn table7() -> Result<(), Box<dyn Error>> {
     }
     println!();
     println!("Per-phase breakdown (simulations attributed to each stage of");
-    println!("Fig. 6; Hit % and Workers from the evaluation engine — tune with");
-    println!("SPECWISE_WORKERS / SPECWISE_CACHE_CAP / SPECWISE_RETRIES):\n");
+    println!("Fig. 6; Lookups, Hit % of lookups and Workers from the evaluation");
+    println!("engine — tune with SPECWISE_WORKERS / SPECWISE_CACHE_CAP /");
+    println!("SPECWISE_RETRIES):\n");
     println!(
         "{}",
         effort_breakdown_table(&[

@@ -312,18 +312,6 @@ pub trait CircuitEnv {
         Ok(None)
     }
 
-    /// Evaluates margins at many `(ŝ, θ)` sample points for a fixed design
-    /// — the Monte-Carlo shape — letting the environment batch the
-    /// underlying solves. `None` (the default) means no batched path:
-    /// callers loop over [`CircuitEnv::eval_margins`].
-    fn eval_margins_samples(
-        &self,
-        _d: &DVec,
-        _points: &[(DVec, OperatingPoint)],
-    ) -> Option<Vec<Result<DVec, CktError>>> {
-        None
-    }
-
     /// Adjoint/sensitivity solves recorded so far (see
     /// [`SimCounter::adjoint_solves`]). Not part of the simulation total.
     fn adjoint_solve_count(&self) -> u64 {

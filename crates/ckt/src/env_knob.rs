@@ -1,16 +1,17 @@
 //! Shared warn-and-default parsing of `SPECWISE_*` environment knobs.
 //!
-//! Every knob in the workspace (`SPECWISE_WORKERS`, `SPECWISE_BATCH`,
-//! `SPECWISE_GRAD`, `SPECWISE_ESTIMATOR`, …) follows one contract: an
-//! unset variable keeps its default silently; a set-but-malformed value
-//! also keeps the default, after a one-line stderr warning naming the
-//! variable and the rejected value (a silent fallback here once meant a
-//! typo'd `SPECWISE_WORKERS=8x` quietly ran serial).
+//! Every knob in the workspace (`SPECWISE_WORKERS`, `SPECWISE_GRAD`,
+//! `SPECWISE_ESTIMATOR`, …) follows one contract: an unset variable keeps
+//! its default silently; a set-but-malformed value also keeps the default,
+//! after a one-line stderr warning naming the variable and the rejected
+//! value (a silent fallback here once meant a typo'd `SPECWISE_WORKERS=8x`
+//! quietly ran serial).
 //!
 //! The implementation lives in `specwise-ckt` because it is the lowest
-//! crate in the workspace graph that reads a knob (`SPECWISE_BATCH` in the
-//! testbench's lockstep sample path); `specwise-exec::config` re-exports
-//! it as the canonical public surface for the higher layers.
+//! crate below every crate that reads a knob (`SPECWISE_GRAD` in
+//! `specwise-wcd`, the engine knobs in `specwise-exec`);
+//! `specwise-exec::config` re-exports it as the canonical public surface
+//! for the higher layers.
 
 use std::str::FromStr;
 
@@ -49,15 +50,18 @@ mod tests {
 
     #[test]
     fn malformed_values_warn_and_name_the_variable() {
-        let err = parse_knob_checked::<usize>("SPECWISE_BATCH", "64x").unwrap_err();
-        assert!(err.contains("SPECWISE_BATCH"), "{err}");
+        let err = parse_knob_checked::<usize>("SPECWISE_WORKERS", "64x").unwrap_err();
+        assert!(err.contains("SPECWISE_WORKERS"), "{err}");
         assert!(err.contains("64x"), "{err}");
         assert!(err.contains("keeping default"), "{err}");
     }
 
     #[test]
     fn well_formed_values_parse_with_whitespace() {
-        assert_eq!(parse_knob_checked::<usize>("SPECWISE_BATCH", " 8 "), Ok(8));
+        assert_eq!(
+            parse_knob_checked::<usize>("SPECWISE_WORKERS", " 8 "),
+            Ok(8)
+        );
         assert_eq!(parse_knob_checked::<f64>("X", "1e-9"), Ok(1e-9));
     }
 

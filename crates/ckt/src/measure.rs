@@ -26,11 +26,10 @@ use std::sync::Arc;
 
 use specwise_linalg::{CVec, Complex64, DVec};
 use specwise_mna::{
-    AcSolver, BatchDcOp, Circuit, DcOp, DcSensitivity, DcSolution, NodeId, Stimulus, Transient,
-    TransientOptions,
+    AcSolver, Circuit, DcSensitivity, DcSolution, NodeId, Stimulus, Transient, TransientOptions,
 };
 
-use crate::warm::{WarmConfig, WarmKey, WarmSeed, WarmStartCache};
+use crate::warm::{WarmConfig, WarmKey, WarmStartCache};
 use crate::{CktError, OperatingPoint, SimCounter};
 
 /// Everything a [`Measure`] can read: the harness metrics plus the feedback
@@ -631,263 +630,6 @@ pub(crate) fn measure_with_directions(
     // solves and four AC analyses.
     counter.add_fd_avoided(6 * directions.len() as u64);
     Ok(Some((state.into_measured(), perturbed)))
-}
-
-/// One in-flight sample of [`measure_samples`].
-struct SampleLane {
-    i: usize,
-    fb: BuiltOpamp,
-    op_fb: Option<DcSolution>,
-    key: Option<WarmKey>,
-    seed: Option<DVec>,
-    vout_fb: f64,
-    slew: f64,
-    power: f64,
-    ol: Option<BuiltOpamp>,
-    vinn: String,
-    op_ol: Option<DcSolution>,
-}
-
-/// The outcome of applying the warm-start lookup protocol to one lane.
-enum LaneStart {
-    /// Exact hit: the committed solution replays without Newton work.
-    Solved(DcSolution),
-    /// Join the lockstep batch (seeded on a near hit, cold otherwise).
-    Solve {
-        key: WarmKey,
-        seed: Option<DVec>,
-    },
-    Failed(CktError),
-}
-
-fn lane_start(circuit: &Circuit, key: WarmKey, warm: &WarmStartCache) -> LaneStart {
-    match warm.lookup(circuit.num_unknowns(), &key) {
-        WarmSeed::Exact(x) => match DcOp::new(circuit).solution_from(x) {
-            Ok(op) => LaneStart::Solved(op),
-            Err(e) => LaneStart::Failed(e.into()),
-        },
-        WarmSeed::Near(x0) => LaneStart::Solve {
-            key,
-            seed: Some(x0),
-        },
-        WarmSeed::Cold => LaneStart::Solve { key, seed: None },
-    }
-}
-
-/// Batched variant of [`measure`] over many `(ŝ, θ)` sample points at a
-/// fixed design `d` — the Monte-Carlo shape. The feedback and open-loop DC
-/// solves of all samples advance in lockstep through the shared Newton
-/// iteration ([`BatchDcOp`]), with the warm-start lookup/record protocol
-/// applied per lane, and the AC stage runs per sample on one shared solver.
-/// Per-sample results (values, sim counts, cache effects) are bit-identical
-/// to calling [`measure`] in a loop.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn measure_samples(
-    builder: &dyn OpampBuilder,
-    identity: u64,
-    d: &DVec,
-    points: &[(DVec, OperatingPoint)],
-    sr_method: SlewRateMethod,
-    counter: &SimCounter,
-    warm: &WarmStartCache,
-) -> Vec<Result<Measured, CktError>> {
-    let mut results: Vec<Option<Result<Measured, CktError>>> =
-        (0..points.len()).map(|_| None).collect();
-    let batcher = BatchDcOp::new();
-
-    // Stage 1: build the feedback configurations and look up warm seeds.
-    let mut lanes: Vec<SampleLane> = Vec::with_capacity(points.len());
-    for (i, (s_hat, theta)) in points.iter().enumerate() {
-        let fb = match builder.build(d, s_hat, theta, true, 0.0) {
-            Ok(fb) => fb,
-            Err(e) => {
-                results[i] = Some(Err(e));
-                continue;
-            }
-        };
-        let key = WarmKey::new(identity, WarmConfig::Feedback, d, s_hat, theta, &[]);
-        let (op_fb, key, seed) = match lane_start(&fb.circuit, key, warm) {
-            LaneStart::Solved(op) => {
-                counter.add(1);
-                (Some(op), None, None)
-            }
-            LaneStart::Solve { key, seed } => (None, Some(key), seed),
-            LaneStart::Failed(e) => {
-                results[i] = Some(Err(e));
-                continue;
-            }
-        };
-        lanes.push(SampleLane {
-            i,
-            fb,
-            op_fb,
-            key,
-            seed,
-            vout_fb: 0.0,
-            slew: 0.0,
-            power: 0.0,
-            ol: None,
-            vinn: String::new(),
-            op_ol: None,
-        });
-    }
-
-    // Lockstep-solve the feedback lanes that missed the exact store.
-    let pend: Vec<usize> = lanes
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| l.op_fb.is_none())
-        .map(|(j, _)| j)
-        .collect();
-    if !pend.is_empty() {
-        let batch: Vec<(&Circuit, Option<DVec>)> = pend
-            .iter()
-            .map(|&j| (&lanes[j].fb.circuit, lanes[j].seed.clone()))
-            .collect();
-        let sols = batcher.solve_lockstep(&batch);
-        drop(batch);
-        for (&j, sol) in pend.iter().zip(sols) {
-            match sol {
-                Ok(op) => {
-                    let key = lanes[j].key.take().expect("pending lane keeps its key");
-                    warm.record(key, op.unknowns());
-                    counter.add(1);
-                    lanes[j].op_fb = Some(op);
-                }
-                Err(e) => results[lanes[j].i] = Some(Err(e.into())),
-            }
-        }
-        lanes.retain(|l| l.op_fb.is_some());
-    }
-
-    // Stage 2: feedback extraction, open-loop build and warm lookup.
-    for lane in &mut lanes {
-        let (s_hat, theta) = &points[lane.i];
-        let op_fb = lane.op_fb.as_ref().expect("solved in stage 1");
-        lane.vout_fb = op_fb.voltage(lane.fb.out);
-        let i_vdd = match op_fb.branch_current(&lane.fb.vdd_src) {
-            Ok(v) => v,
-            Err(e) => {
-                results[lane.i] = Some(Err(e.into()));
-                continue;
-            }
-        };
-        lane.power = theta.vdd * i_vdd.abs();
-        lane.slew = match slew_rate(&lane.fb, op_fb, sr_method, counter) {
-            Ok(s) => s,
-            Err(e) => {
-                results[lane.i] = Some(Err(e));
-                continue;
-            }
-        };
-        let ol = match builder.build(d, s_hat, theta, false, lane.vout_fb) {
-            Ok(o) => o,
-            Err(e) => {
-                results[lane.i] = Some(Err(e));
-                continue;
-            }
-        };
-        lane.vinn = match ol.vinn_src.clone() {
-            Some(v) => v,
-            None => {
-                results[lane.i] = Some(Err(CktError::Extraction {
-                    performance: "open-loop analysis",
-                    reason: "builder did not provide an inverting input source",
-                }));
-                continue;
-            }
-        };
-        let key = WarmKey::new(
-            identity,
-            WarmConfig::OpenLoop,
-            d,
-            s_hat,
-            theta,
-            &[lane.vout_fb],
-        );
-        match lane_start(&ol.circuit, key, warm) {
-            LaneStart::Solved(op) => {
-                counter.add(1);
-                lane.op_ol = Some(op);
-                lane.key = None;
-                lane.seed = None;
-            }
-            LaneStart::Solve { key, seed } => {
-                lane.key = Some(key);
-                lane.seed = seed;
-            }
-            LaneStart::Failed(e) => {
-                results[lane.i] = Some(Err(e));
-                continue;
-            }
-        }
-        lane.ol = Some(ol);
-    }
-    lanes.retain(|l| results[l.i].is_none());
-
-    // Lockstep-solve the open-loop lanes.
-    let pend: Vec<usize> = lanes
-        .iter()
-        .enumerate()
-        .filter(|(_, l)| l.op_ol.is_none())
-        .map(|(j, _)| j)
-        .collect();
-    if !pend.is_empty() {
-        let batch: Vec<(&Circuit, Option<DVec>)> = pend
-            .iter()
-            .map(|&j| {
-                (
-                    &lanes[j].ol.as_ref().expect("built in stage 2").circuit,
-                    lanes[j].seed.clone(),
-                )
-            })
-            .collect();
-        let sols = batcher.solve_lockstep(&batch);
-        drop(batch);
-        for (&j, sol) in pend.iter().zip(sols) {
-            match sol {
-                Ok(op) => {
-                    let key = lanes[j].key.take().expect("pending lane keeps its key");
-                    warm.record(key, op.unknowns());
-                    counter.add(1);
-                    lanes[j].op_ol = Some(op);
-                }
-                Err(e) => results[lanes[j].i] = Some(Err(e.into())),
-            }
-        }
-        lanes.retain(|l| l.op_ol.is_some());
-    }
-
-    // Stage 3: the AC stage per sample (shared solver across stimuli).
-    for lane in lanes {
-        let ol = lane.ol.expect("built in stage 2");
-        let op_ol = lane.op_ol.expect("solved");
-        let acs = match ac_stage(&ol, &lane.vinn, &op_ol, counter) {
-            Ok(a) => a,
-            Err(e) => {
-                results[lane.i] = Some(Err(e));
-                continue;
-            }
-        };
-        results[lane.i] = Some(Ok(Measured {
-            metrics: OpampMetrics {
-                a0_db: acs.a0_db,
-                ft_hz: acs.ft_hz,
-                phase_margin_deg: acs.phase_margin_deg,
-                cmrr_db: acs.cmrr_db,
-                slew_v_per_s: lane.slew,
-                power_w: lane.power,
-                psrr_db: acs.psrr_db,
-            },
-            fb_circuit: lane.fb.circuit,
-            op_fb: lane.op_fb.expect("solved in stage 1"),
-        }));
-    }
-
-    results
-        .into_iter()
-        .map(|r| r.expect("every sample resolved"))
-        .collect()
 }
 
 /// Builds the functional-constraint vector from the feedback operating

@@ -212,14 +212,6 @@ impl CircuitEnv for FiveTransistorOta {
         self.tb.eval_margins_perturbed(d, s_hat, theta, directions)
     }
 
-    fn eval_margins_samples(
-        &self,
-        d: &DVec,
-        points: &[(DVec, OperatingPoint)],
-    ) -> Option<Vec<Result<DVec, CktError>>> {
-        self.tb.eval_margins_samples(d, points)
-    }
-
     fn adjoint_solve_count(&self) -> u64 {
         self.tb.adjoint_solve_count()
     }

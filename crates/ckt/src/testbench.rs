@@ -54,8 +54,8 @@ use specwise_mna::{
 };
 
 use crate::measure::{
-    dc_solve_counted, measure, measure_samples, measure_with_directions, saturation_constraints,
-    BuiltOpamp, Measure, MeasureContext, Measured, OpampBuilder,
+    dc_solve_counted, measure, measure_with_directions, saturation_constraints, BuiltOpamp,
+    Measure, MeasureContext, Measured, OpampBuilder,
 };
 use crate::warm::WarmStartCache;
 use crate::{
@@ -1048,21 +1048,6 @@ impl OpampBuilder for Testbench {
     }
 }
 
-/// Default lockstep width of the batched Monte-Carlo path.
-const DEFAULT_BATCH_WIDTH: usize = 64;
-
-/// Reads the `SPECWISE_BATCH` knob: `0` or `1` disable the batched sample
-/// path (callers fall back to the per-sample loop), any larger value bounds
-/// the lockstep width, unset uses [`DEFAULT_BATCH_WIDTH`] and garbage
-/// warns-and-defaults through the shared knob parser.
-fn batch_width() -> Option<usize> {
-    match crate::env_knob::parse_env_knob::<usize>("SPECWISE_BATCH") {
-        Some(0) | Some(1) => None,
-        Some(n) => Some(n),
-        None => Some(DEFAULT_BATCH_WIDTH),
-    }
-}
-
 impl CircuitEnv for Testbench {
     fn name(&self) -> &str {
         &self.name
@@ -1192,34 +1177,6 @@ impl CircuitEnv for Testbench {
             out.push(self.margins_from(m)?);
         }
         Ok(Some((base_margins, out)))
-    }
-
-    fn eval_margins_samples(
-        &self,
-        d: &DVec,
-        points: &[(DVec, OperatingPoint)],
-    ) -> Option<Vec<Result<DVec, CktError>>> {
-        let width = batch_width()?;
-        // Malformed inputs take the scalar loop so the per-sample errors
-        // come out exactly as `eval_margins` would report them.
-        if points.iter().any(|(s, _)| self.check_dims(d, s).is_err()) {
-            return None;
-        }
-        let mut out = Vec::with_capacity(points.len());
-        for chunk in points.chunks(width.max(2)) {
-            for r in measure_samples(
-                self,
-                self.identity,
-                d,
-                chunk,
-                self.sr_method,
-                &self.counter,
-                &self.warm,
-            ) {
-                out.push(r.and_then(|m| self.margins_from(&m)));
-            }
-        }
-        Some(out)
     }
 
     fn adjoint_solve_count(&self) -> u64 {

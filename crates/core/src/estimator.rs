@@ -11,8 +11,8 @@
 //!    result is bit-identical at any worker count;
 //! 2. **evaluate-batch** — the shared driver groups specs by identical
 //!    worst-case operating corner and dispatches one batch per group
-//!    (preferring the environment's lockstep sample path, `SPECWISE_BATCH`,
-//!    falling back to the generic [`EvalPoint`] batch), so an
+//!    (through [`Evaluator::eval_margins_samples`], falling back to the
+//!    generic [`EvalPoint`] batch), so an
 //!    [`EvalService`](specwise_exec::EvalService) spreads the simulations
 //!    over its worker pool without changing any result bit;
 //! 3. **accumulate** — the estimator folds each sample result through the
@@ -231,9 +231,9 @@ fn estimate_inner<X: YieldEstimator, E: Evaluator + ?Sized>(
         if live.is_empty() {
             break;
         }
-        // Prefer the environment's lockstep sample evaluator (one batched
-        // Newton sweep per corner group, bit-identical to the point loop);
-        // environments without one take the generic batch path.
+        // An `EvalService` runs the group as one uncached worker-pool batch
+        // (Monte-Carlo samples are unique); bare environments decline and
+        // take the generic batch path.
         let sample_points: Vec<(DVec, OperatingPoint)> =
             live.iter().map(|&j| (samples[j].clone(), *theta)).collect();
         let results = match env.eval_margins_samples(d, &sample_points) {

@@ -195,8 +195,9 @@ pub fn effort_table(rows: &[(String, u64, std::time::Duration)]) -> String {
 
 /// Renders the extended Table 7 breakdown: per run, the simulation count of
 /// every algorithm phase, plus — when the run went through an
-/// [`EvalService`](specwise_exec::EvalService) — the cache hit rate and the
-/// worker count of the parallel engine.
+/// [`EvalService`](specwise_exec::EvalService) — the cache lookups, the hit
+/// rate as a share of those lookups (not of `Total`), and the worker count
+/// of the parallel engine.
 pub fn effort_breakdown_table(rows: &[(String, &OptimizationTrace)]) -> String {
     use specwise_ckt::SimPhase;
     let mut out = String::new();
@@ -205,7 +206,11 @@ pub fn effort_breakdown_table(rows: &[(String, &OptimizationTrace)]) -> String {
     for label in short {
         let _ = write!(out, "{:>9}", label);
     }
-    let _ = writeln!(out, "{:>9}{:>9}{:>10}", "Hit %", "Workers", "Wall");
+    let _ = writeln!(
+        out,
+        "{:>9}{:>9}{:>9}{:>10}",
+        "Lookups", "Hit %", "Workers", "Wall"
+    );
     for (name, trace) in rows {
         let _ = write!(out, "{:<22}{:>9}", name, trace.total_sims);
         for phase in SimPhase::ALL {
@@ -213,10 +218,16 @@ pub fn effort_breakdown_table(rows: &[(String, &OptimizationTrace)]) -> String {
         }
         match &trace.exec {
             Some(r) => {
-                let _ = write!(out, "{:>8.1}%{:>9}", 100.0 * r.hit_rate(), r.workers);
+                let _ = write!(
+                    out,
+                    "{:>9}{:>8.1}%{:>9}",
+                    r.cache_lookups(),
+                    100.0 * r.hit_rate(),
+                    r.workers
+                );
             }
             None => {
-                let _ = write!(out, "{:>9}{:>9}", "-", "1");
+                let _ = write!(out, "{:>9}{:>9}{:>9}", "-", "-", "1");
             }
         }
         let _ = writeln!(out, "{:>9.2}s", trace.wall_time.as_secs_f64());

@@ -143,9 +143,9 @@ impl ExecConfig {
 
 /// The shared warn-and-default knob parser used by every `SPECWISE_*`
 /// environment variable in the workspace (`SPECWISE_WORKERS`,
-/// `SPECWISE_BATCH`, `SPECWISE_GRAD`, `SPECWISE_ESTIMATOR`, …). The
-/// implementation lives in `specwise-ckt` (the lowest crate that reads a
-/// knob); this is the canonical public surface.
+/// `SPECWISE_GRAD`, `SPECWISE_ESTIMATOR`, …). The implementation lives in
+/// `specwise-ckt` (the lowest crate below every knob reader); this is the
+/// canonical public surface.
 pub use specwise_ckt::env_knob::{parse_env_knob, parse_knob_checked};
 
 fn parse_var<T: std::str::FromStr>(name: &str) -> Option<T> {

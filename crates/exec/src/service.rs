@@ -184,10 +184,10 @@ pub trait Evaluator: Sync {
         Ok(None)
     }
 
-    /// Evaluates margins at many `(ŝ, θ)` sample points for a fixed design,
-    /// letting the environment batch the underlying solves (see
-    /// [`CircuitEnv::eval_margins_samples`]). `None` means no batched
-    /// path: callers use [`Evaluator::eval_margins_batch`].
+    /// Evaluates margins at many `(ŝ, θ)` sample points for a fixed design
+    /// — the Monte-Carlo shape. [`EvalService`] runs them as one worker-pool
+    /// batch that bypasses the memo cache. `None` (the default) means no
+    /// such path: callers use [`Evaluator::eval_margins_batch`].
     fn eval_margins_samples(
         &self,
         _d: &DVec,
@@ -295,14 +295,6 @@ impl<T: CircuitEnv + Sync + ?Sized> Evaluator for T {
         CircuitEnv::eval_margins_perturbed(self, d, s_hat, theta, directions)
     }
 
-    fn eval_margins_samples(
-        &self,
-        d: &DVec,
-        points: &[(DVec, OperatingPoint)],
-    ) -> Option<Vec<Result<DVec, CktError>>> {
-        CircuitEnv::eval_margins_samples(self, d, points)
-    }
-
     fn adjoint_solve_count(&self) -> u64 {
         CircuitEnv::adjoint_solve_count(self)
     }
@@ -345,13 +337,18 @@ pub struct ExecReport {
 }
 
 impl ExecReport {
-    /// Cache hit rate in `[0, 1]` (`0` when the cache was never consulted).
+    /// Cache lookups: hits plus misses. Monte-Carlo samples bypass the
+    /// cache, so this is usually far below [`ExecReport::total_sims`].
+    pub fn cache_lookups(&self) -> u64 {
+        self.cache_hits + self.cache_misses
+    }
+
+    /// Cache hits as a share of cache lookups, in `[0, 1]` (`0` when the
+    /// cache was never consulted). Not a share of all simulations.
     pub fn hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
+        match self.cache_lookups() {
+            0 => 0.0,
+            lookups => self.cache_hits as f64 / lookups as f64,
         }
     }
 
@@ -388,10 +385,11 @@ impl std::fmt::Display for ExecReport {
         )?;
         writeln!(
             f,
-            "cache: {} hits / {} misses ({:.1}% hit rate)",
+            "cache: {} hits of {} lookups ({:.1}% of lookups; {} sims in all)",
             self.cache_hits,
-            self.cache_misses,
-            100.0 * self.hit_rate()
+            self.cache_lookups(),
+            100.0 * self.hit_rate(),
+            self.total_sims
         )?;
         writeln!(
             f,
@@ -676,12 +674,11 @@ impl<'e, E: CircuitEnv + Sync + ?Sized> EvalService<'e, E> {
         self.batch_points
             .fetch_add(points.len() as u64, Ordering::Relaxed);
         if self.tracer.is_enabled() {
-            let phase = SimPhase::ALL[self.phase.load(Ordering::Relaxed).min(SimPhase::COUNT - 1)];
             self.tracer.event(
                 "batch",
                 &[
                     ("points", points.len().into()),
-                    ("phase", phase.label().into()),
+                    ("phase", self.active_phase().label().into()),
                 ],
             );
         }
@@ -870,26 +867,12 @@ impl<E: CircuitEnv + Sync + ?Sized> Evaluator for EvalService<'_, E> {
         d: &DVec,
         points: &[(DVec, OperatingPoint)],
     ) -> Option<Vec<Result<DVec, CktError>>> {
-        // The batched path bypasses the memo cache (Monte-Carlo samples are
-        // effectively unique) but still counts as one batch and commits the
-        // warm snapshot exactly once, like every other batch entry point.
-        CircuitEnv::warm_commit(self.env);
-        let t0 = Instant::now();
-        let result = CircuitEnv::eval_margins_samples(self.env, d, points)?;
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batch_points
-            .fetch_add(points.len() as u64, Ordering::Relaxed);
-        if self.tracer.is_enabled() {
-            self.tracer.event(
-                "batch",
-                &[
-                    ("points", points.len().into()),
-                    ("phase", self.active_phase().label().into()),
-                ],
-            );
-        }
-        self.charge_wall(t0.elapsed());
-        Some(result)
+        // Monte-Carlo samples are unique, so they skip the memo cache but
+        // keep the worker pool, retries and panic isolation.
+        Some(self.run_batch(points, |(s_hat, theta)| {
+            self.evaluate_with_retry(d, s_hat, theta)
+                .map(|perf| self.margins_from_performances(perf))
+        }))
     }
 
     fn adjoint_solve_count(&self) -> u64 {
@@ -1030,11 +1013,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn retry_recovers_from_point_failures() {
-        // Fails exactly at ŝ = (0.5, 0.5); the retry's perturbed point
-        // converges.
-        let e = AnalyticEnv::builder()
+    /// Fails exactly at ŝ = (0.5, 0.5); a retry's perturbed point
+    /// converges.
+    fn flaky_env() -> AnalyticEnv {
+        AnalyticEnv::builder()
             .design(DesignSpace::new(vec![DesignParam::new(
                 "a", "", -5.0, 5.0, 1.0,
             )]))
@@ -1043,16 +1025,48 @@ mod tests {
             .performances(|d, s, _| DVec::from_slice(&[d[0] + s[0]]))
             .fail_when_stat(|_, s| s[0] == 0.5 && s[1] == 0.5)
             .build()
-            .unwrap();
-        let service = EvalService::new(
-            &e,
-            ExecConfig::default()
-                .with_workers(1)
-                .with_retry(RetryPolicy {
-                    max_retries: 2,
-                    perturb: 1e-9,
-                }),
-        );
+            .unwrap()
+    }
+
+    fn retrying_config(workers: usize) -> ExecConfig {
+        ExecConfig::default()
+            .with_workers(workers)
+            .with_retry(RetryPolicy {
+                max_retries: 2,
+                perturb: 1e-9,
+            })
+    }
+
+    /// Panics at ŝ[0] ≥ 0.75.
+    fn panicking_env() -> AnalyticEnv {
+        AnalyticEnv::builder()
+            .design(DesignSpace::new(vec![DesignParam::new(
+                "a", "", -5.0, 5.0, 1.0,
+            )]))
+            .stat_dim(1)
+            .spec(Spec::new("f", "", SpecKind::LowerBound, 0.0))
+            .performances(|d, s, _| {
+                assert!(s[0] < 0.75, "poisoned sample");
+                DVec::from_slice(&[d[0] + s[0]])
+            })
+            .build()
+            .unwrap()
+    }
+
+    /// Runs `f` with the default panic hook silenced, for intentional
+    /// panics.
+    fn quietly<T>(f: impl FnOnce() -> T) -> T {
+        let prev_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let out = f();
+        std::panic::set_hook(prev_hook);
+        out
+    }
+
+    #[test]
+    fn retry_recovers_from_point_failures() {
+        let e = flaky_env();
+        let service = EvalService::new(&e, retrying_config(1));
         let theta = OperatingPoint::new(27.0, 3.3);
         let m = service
             .eval_margins(
@@ -1107,29 +1121,14 @@ mod tests {
 
     #[test]
     fn worker_panic_is_isolated_and_degrades_to_an_error() {
-        let e = AnalyticEnv::builder()
-            .design(DesignSpace::new(vec![DesignParam::new(
-                "a", "", -5.0, 5.0, 1.0,
-            )]))
-            .stat_dim(1)
-            .spec(Spec::new("f", "", SpecKind::LowerBound, 0.0))
-            .performances(|d, s, _| {
-                assert!(s[0] < 0.75, "poisoned sample");
-                DVec::from_slice(&[d[0] + s[0]])
-            })
-            .build()
-            .unwrap();
+        let e = panicking_env();
         let service = EvalService::new(&e, ExecConfig::default().with_workers(2));
         let theta = OperatingPoint::new(27.0, 3.3);
         let pts: Vec<EvalPoint> = [0.0, 0.9, 0.5]
             .iter()
             .map(|&s| EvalPoint::new(DVec::from_slice(&[1.0]), DVec::from_slice(&[s]), theta))
             .collect();
-        // Silence the default panic hook for the intentional panic.
-        let prev_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let results = service.eval_margins_batch(&pts);
-        std::panic::set_hook(prev_hook);
+        let results = quietly(|| service.eval_margins_batch(&pts));
         assert!(results[0].is_ok());
         assert!(results[2].is_ok());
         let err = results[1].as_ref().unwrap_err();
@@ -1138,6 +1137,45 @@ mod tests {
         let report = service.report();
         assert!(report.panics_caught >= 1);
         assert_eq!(report.sim_failures, 1);
+    }
+
+    #[test]
+    fn sample_path_retries_and_isolates_panics() {
+        let theta = OperatingPoint::new(27.0, 3.3);
+        let d = DVec::from_slice(&[1.0]);
+
+        let e = flaky_env();
+        let service = EvalService::new(&e, retrying_config(2));
+        let points: Vec<(DVec, OperatingPoint)> = [[0.0, 0.0], [0.5, 0.5], [1.0, -1.0]]
+            .iter()
+            .map(|s| (DVec::from_slice(s), theta))
+            .collect();
+        let results = service
+            .eval_margins_samples(&d, &points)
+            .expect("the service runs the sample path");
+        let m = results[1].as_ref().expect("the retry recovers the sample");
+        assert!((m[0] - 1.5).abs() < 1e-6);
+        assert!(results[0].is_ok() && results[2].is_ok());
+        let report = service.report();
+        assert_eq!(report.retries, 1);
+        assert_eq!(report.recovered, 1);
+        assert_eq!(report.sim_failures, 0);
+        assert_eq!(report.cache_hits + report.cache_misses, 0);
+
+        let e = panicking_env();
+        let service = EvalService::new(&e, ExecConfig::default().with_workers(2));
+        let points: Vec<(DVec, OperatingPoint)> = [0.0, 0.9, 0.5]
+            .iter()
+            .map(|&s| (DVec::from_slice(&[s]), theta))
+            .collect();
+        let results = quietly(|| service.eval_margins_samples(&d, &points))
+            .expect("the service runs the sample path");
+        assert!(results[0].is_ok());
+        assert!(results[2].is_ok());
+        let err = results[1].as_ref().unwrap_err();
+        assert!(matches!(err.root(), CktError::WorkerPanic { .. }), "{err}");
+        assert!(err.to_string().contains("poisoned sample"), "{err}");
+        assert!(service.report().panics_caught >= 1);
     }
 
     #[test]

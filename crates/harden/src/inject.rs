@@ -285,11 +285,11 @@ impl<E: CircuitEnv + ?Sized> CircuitEnv for FaultInjector<'_, E> {
         self.env.warm_commit()
     }
 
-    // `eval_margins_perturbed` and `eval_margins_samples` keep their trait
-    // defaults (`None`) on purpose: the batched shortcuts would evaluate
-    // whole groups inside the wrapped environment, bypassing the per-point
-    // fault decisions above. Declining them routes every point through the
-    // fault-injecting scalar path.
+    // `eval_margins_perturbed` keeps its trait default (`None`) on purpose:
+    // the sensitivity shortcut would evaluate a whole group inside the
+    // wrapped environment, bypassing the per-point fault decisions above.
+    // Declining it routes every point through the fault-injecting scalar
+    // path.
 
     fn adjoint_solve_count(&self) -> u64 {
         self.env.adjoint_solve_count()
@@ -570,24 +570,6 @@ impl<E: CircuitEnv + ?Sized> CircuitEnv for KillSwitch<'_, E> {
             self.charge()?;
         }
         Ok(r)
-    }
-
-    fn eval_margins_samples(
-        &self,
-        d: &DVec,
-        points: &[(DVec, OperatingPoint)],
-    ) -> Option<Vec<Result<DVec, CktError>>> {
-        let mut results = self.env.eval_margins_samples(d, points)?;
-        // One charge per sample, in submission order — the same meter
-        // readings the per-point loop produces. A batch already in flight
-        // when the allowance runs out finishes its lockstep sweep, but the
-        // over-budget samples still report the budget error.
-        for r in &mut results {
-            if let Err(e) = self.charge() {
-                *r = Err(e);
-            }
-        }
-        Some(results)
     }
 
     fn adjoint_solve_count(&self) -> u64 {

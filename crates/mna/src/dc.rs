@@ -269,44 +269,67 @@ impl<'c> DcOp<'c> {
         gshunt: f64,
         scale: f64,
     ) -> Result<(DVec, usize), MnaError> {
-        let n = self.circuit.num_unknowns();
-        let damping_vmax = damping_for(self.circuit, &self.options);
-        let mut res = DVec::zeros(n);
-        for iter in 0..self.options.max_iterations {
-            match newton_iteration(
-                self.circuit,
-                &self.options,
-                sys,
-                &mut x,
-                &mut res,
-                gshunt,
-                scale,
-                damping_vmax,
-            ) {
-                NewtonStep::Converged => return Ok((x, iter + 1)),
-                NewtonStep::Continue => {}
-                NewtonStep::NonFinite => {
-                    return Err(MnaError::NoConvergence {
-                        analysis: "dc",
-                        iterations: iter,
-                        residual: f64::NAN,
-                    })
+        let (circuit, options) = (self.circuit, &self.options);
+        let nv = circuit.num_nodes() - 1;
+        // Purely linear circuits solve exactly in one Newton step; damping
+        // would only slow (or for large node voltages, prevent) convergence.
+        let has_nonlinear = circuit
+            .kinds()
+            .iter()
+            .any(|k| matches!(k, ElementKind::Mosfet { .. } | ElementKind::Diode { .. }));
+        let damping_vmax = if has_nonlinear {
+            options.damping_vmax
+        } else {
+            f64::INFINITY
+        };
+        let mut res = DVec::zeros(circuit.num_unknowns());
+        for iter in 0..options.max_iterations {
+            stamp_system(circuit, &x, gshunt, scale, None, sys.stamper(), &mut res);
+            if !res.is_finite() || !sys.is_finite() {
+                return Err(MnaError::NoConvergence {
+                    analysis: "dc",
+                    iterations: iter,
+                    residual: f64::NAN,
+                });
+            }
+            let mut delta = sys.factor_solve(&res, "dc")?;
+            let mut vmax = 0.0_f64;
+            for i in 0..nv {
+                vmax = vmax.max(delta[i].abs());
+            }
+            // Residual-based acceptance: when the KCL residual is already far
+            // below tolerance and the proposed update is sub-µV, the point is
+            // converged even if a near-singular Jacobian (cut-off devices
+            // hanging on gmin) keeps Δv from meeting the strict voltage
+            // criterion.
+            if res.norm_inf() < options.restol && vmax < 1e-6 {
+                return Ok((x, iter + 1));
+            }
+            // Damp: bound the node-voltage update.
+            if vmax > damping_vmax {
+                delta *= damping_vmax / vmax;
+            }
+            x += &delta;
+
+            // Convergence: voltage update small and residual small.
+            let mut dv_ok = true;
+            for i in 0..nv {
+                if delta[i].abs() > options.vntol + options.reltol * x[i].abs() {
+                    dv_ok = false;
+                    break;
                 }
-                NewtonStep::Failed(e) => return Err(e),
+            }
+            if dv_ok {
+                stamp_system(circuit, &x, gshunt, scale, None, sys.stamper(), &mut res);
+                if res.norm_inf() < options.restol {
+                    return Ok((x, iter + 1));
+                }
             }
         }
-        stamp_system(
-            self.circuit,
-            &x,
-            gshunt,
-            scale,
-            None,
-            sys.stamper(),
-            &mut res,
-        );
+        stamp_system(circuit, &x, gshunt, scale, None, sys.stamper(), &mut res);
         Err(MnaError::NoConvergence {
             analysis: "dc",
-            iterations: self.options.max_iterations,
+            iterations: options.max_iterations,
             residual: res.norm_inf(),
         })
     }
@@ -334,92 +357,6 @@ impl<'c> DcOp<'c> {
             iterations,
         }
     }
-}
-
-/// Damping bound for one Newton solve of `circuit`.
-///
-/// Purely linear circuits solve exactly in one Newton step; damping would
-/// only slow (or for large node voltages, prevent) convergence.
-pub(crate) fn damping_for(circuit: &Circuit, options: &NewtonOptions) -> f64 {
-    let has_nonlinear = circuit
-        .kinds()
-        .iter()
-        .any(|k| matches!(k, ElementKind::Mosfet { .. } | ElementKind::Diode { .. }));
-    if has_nonlinear {
-        options.damping_vmax
-    } else {
-        f64::INFINITY
-    }
-}
-
-/// Outcome of one Newton iteration ([`newton_iteration`]).
-pub(crate) enum NewtonStep {
-    /// Converged: `x` holds the accepted solution.
-    Converged,
-    /// Not converged yet; iterate again.
-    Continue,
-    /// Residual or Jacobian went non-finite.
-    NonFinite,
-    /// The linear solve failed.
-    Failed(MnaError),
-}
-
-/// One iteration of the damped Newton loop: stamp, factor, solve, damp,
-/// update, check convergence. Shared verbatim between the scalar solver
-/// ([`DcOp::solve_from`]) and the lockstep batch solver so the two produce
-/// bit-identical float sequences per sample.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn newton_iteration(
-    circuit: &Circuit,
-    options: &NewtonOptions,
-    sys: &mut SystemSolver,
-    x: &mut DVec,
-    res: &mut DVec,
-    gshunt: f64,
-    scale: f64,
-    damping_vmax: f64,
-) -> NewtonStep {
-    let nv = circuit.num_nodes() - 1;
-    stamp_system(circuit, x, gshunt, scale, None, sys.stamper(), res);
-    if !res.is_finite() || !sys.is_finite() {
-        return NewtonStep::NonFinite;
-    }
-    let mut delta = match sys.factor_solve(res, "dc") {
-        Ok(d) => d,
-        Err(e) => return NewtonStep::Failed(e),
-    };
-    let mut vmax = 0.0_f64;
-    for i in 0..nv {
-        vmax = vmax.max(delta[i].abs());
-    }
-    // Residual-based acceptance: when the KCL residual is already far below
-    // tolerance and the proposed update is sub-µV, the point is converged
-    // even if a near-singular Jacobian (cut-off devices hanging on gmin)
-    // keeps Δv from meeting the strict voltage criterion.
-    if res.norm_inf() < options.restol && vmax < 1e-6 {
-        return NewtonStep::Converged;
-    }
-    // Damp: bound the node-voltage update.
-    if vmax > damping_vmax {
-        delta *= damping_vmax / vmax;
-    }
-    *x += &delta;
-
-    // Convergence: voltage update small and residual small.
-    let mut dv_ok = true;
-    for i in 0..nv {
-        if delta[i].abs() > options.vntol + options.reltol * x[i].abs() {
-            dv_ok = false;
-            break;
-        }
-    }
-    if dv_ok {
-        stamp_system(circuit, x, gshunt, scale, None, sys.stamper(), res);
-        if res.norm_inf() < options.restol {
-            return NewtonStep::Converged;
-        }
-    }
-    NewtonStep::Continue
 }
 
 /// A [`Stamper`] that discards every Jacobian entry — used for
